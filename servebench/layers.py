@@ -72,7 +72,7 @@ def load_spans(spans_dir: Path) -> dict[int, dict]:
     }
 
 
-def _pct(values: list[float], q: float) -> float:
+def percentile(values: list[float], q: float) -> float:
     return float(np.percentile(values, q)) if values else 0.0
 
 
@@ -139,12 +139,12 @@ def layer_metrics(
                 if lo <= submitted < hi:
                     waits.append((started - submitted) / 1e3)
     for layer in SPAN_LAYERS:
-        metrics[f"{layer}.p50"] = _pct(samples[layer], 50)
-        metrics[f"{layer}.p99"] = _pct(samples[layer], 99)
+        metrics[f"{layer}.p50"] = percentile(samples[layer], 50)
+        metrics[f"{layer}.p99"] = percentile(samples[layer], 99)
         metrics[f"{layer}.calls"] = float(len(samples[layer]))
         metrics[f"{layer}.share"] = self_cpu[layer] / total_cpu_ns if total_cpu_ns else 0.0
-    metrics["scheduler.queue_wait_us.p50"] = _pct(waits, 50)
-    metrics["scheduler.queue_wait_us.p99"] = _pct(waits, 99)
+    metrics["scheduler.queue_wait_us.p50"] = percentile(waits, 50)
+    metrics["scheduler.queue_wait_us.p99"] = percentile(waits, 99)
     metrics["scheduler.queue_wait_us.calls"] = float(len(waits))
     metrics["dsp.fallback_fraction"] = fallback / windows if windows else 0.0
     metrics["dsp.steering_hit_ratio"] = steering[0] / sum(steering) if sum(steering) else 0.0

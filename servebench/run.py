@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from layers import percentile
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = ROOT / "servebench"
@@ -38,10 +39,6 @@ LEDGER = BENCH_DIR / "history" / "ledger.ndjson"
 #: process that starts in a slow state (thread placement, a noisy
 #: neighbour) moves the median less than it moves a pooled figure.
 LAUNCHES = 5
-
-#: One column period of the paper's stream, in ms: the CPU budget per
-#: column of one real-time session.
-HOP_PERIOD_MS = 80.0
 
 #: A run whose generator sent its p99 push later than this after its
 #: due time measured the generator, not the service: it is flagged
@@ -58,12 +55,9 @@ END_TO_END = {
     "setup_s": "s",
     "columns_per_s": "1/s",
     "cpu_ms_per_column": "ms",
+    "main_thread_cpu_ms_per_column": "ms",
     "server_rss_mb": "MB",
 }
-
-
-def percentile(values: list[float], q: float) -> float:
-    return float(np.percentile(values, q)) if values else 0.0
 
 
 @dataclass
@@ -170,7 +164,7 @@ def run_launches(workload, traces, seconds_each: float, run_dir: Path, traced: b
 
 def analyse(workload, traces, launches: list[Launch]) -> dict:
     """End-to-end numbers, extras, and the correctness verdict of a set of launches."""
-    from workloads import check_reply
+    from workloads import HOP_PERIOD_S, check_reply
 
     divergences = []
     attempted = failed = missed = columns = 0
@@ -181,6 +175,7 @@ def analyse(workload, traces, launches: list[Launch]) -> dict:
     wall = gen_cpu = 0.0
     steal = ticks = 0
     cpu_s: dict[str, float] = {}
+    main_cpu_s: dict[str, float] = {}
     switches = threads = 0
     delta: dict[str, int] = {}
     backend = "unknown"
@@ -217,15 +212,21 @@ def analyse(workload, traces, launches: list[Launch]) -> dict:
         answered = [r for r in timed if r.reply is not None]
         busy = max(r.replied for r in answered) - min(r.sent for r in timed) if answered else 0.0
         before, after = marks.at_t0["proc"], marks.at_t1["proc"]
-        launch_cpu = 0.0
+        launch_cpu = launch_main_cpu = 0.0
         for role in after:
             used = after[role].cpu_s - before[role].cpu_s
             cpu_s[role] = cpu_s.get(role, 0.0) + used
             launch_cpu += used
+            used = after[role].main_cpu_s - before[role].main_cpu_s
+            main_cpu_s[role] = main_cpu_s.get(role, 0.0) + used
+            launch_main_cpu += used
         per_launch["setup_s"].append(launched.setup_s)
         per_launch["columns_per_s"].append(launch_columns / busy if busy > 0 else 0.0)
         per_launch["latency_p50_ms"].append(percentile(launch_latencies, 50))
         per_launch["cpu_ms_per_column"].append(launch_cpu * 1e3 / launch_columns if launch_columns else 0.0)
+        per_launch["main_thread_cpu_ms_per_column"].append(
+            launch_main_cpu * 1e3 / launch_columns if launch_columns else 0.0
+        )
         per_launch["server_rss_mb"].append(sum(sample.hwm_kb for sample in after.values()) / 1024)
         switches += after["worker"].ctx_switches - before["worker"].ctx_switches
         threads = max(threads, after["worker"].threads)
@@ -253,6 +254,7 @@ def analyse(workload, traces, launches: list[Launch]) -> dict:
         "divergences": divergences,
         "backend": backend,
         "cpu_s": cpu_s,
+        "main_cpu_s": main_cpu_s,
         "e2e": e2e,
         "extra": {
             "latency_p50_ms": medians["latency_p50_ms"],
@@ -260,7 +262,7 @@ def analyse(workload, traces, launches: list[Launch]) -> dict:
             "latency_samples": len(latencies),
             "deadline_miss_fraction": missed / attempted if attempted else 0.0,
             "failed_fraction": failed / attempted if attempted else 0.0,
-            "sessions_per_core": HOP_PERIOD_MS / e2e["cpu_ms_per_column"] if e2e["cpu_ms_per_column"] else 0.0,
+            "sessions_per_core": HOP_PERIOD_S * 1e3 / e2e["cpu_ms_per_column"] if e2e["cpu_ms_per_column"] else 0.0,
             "per_launch": per_launch,
             "generator_cpu_util": gen_cpu / wall,
             "host_steal_share": steal / ticks if ticks else 0.0,
@@ -274,6 +276,9 @@ def analyse(workload, traces, launches: list[Launch]) -> dict:
             "process.server_threads": float(threads),
             "process.frontend_cpu_ms_per_column": per_column(cpu_s.get("frontend", 0.0) * 1e3),
             "process.worker_cpu_ms_per_column": per_column(cpu_s["worker"] * 1e3),
+            "process.helper_threads_cpu_ms_per_column": per_column(
+                (sum(cpu_s.values()) - sum(main_cpu_s.values())) * 1e3
+            ),
             "process.worker_ctx_switches_per_column": per_column(switches),
             "protocol.request_bytes_per_column": per_column(request_bytes),
             "protocol.reply_bytes_per_column": per_column(reply_bytes),
@@ -335,6 +340,9 @@ def main(argv: list[str] | None = None) -> int:
         per_layer["trace.overhead_cpu_per_column"] = (
             traced["e2e"]["cpu_ms_per_column"] / plain["e2e"]["cpu_ms_per_column"] - 1.0
         )
+        per_layer["trace.overhead_main_thread_cpu_per_column"] = (
+            traced["e2e"]["main_thread_cpu_ms_per_column"] / plain["e2e"]["main_thread_cpu_ms_per_column"] - 1.0
+        )
         per_layer["trace.overhead_latency_p50"] = (
             traced["extra"]["latency_p50_ms"] / plain["extra"]["latency_p50_ms"] - 1.0
         )
@@ -347,7 +355,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"per-layer table, workload {workload.name} (traced run; share = self CPU / all server CPU)")
         for line in table:
             print("  " + line)
+        helpers = 1.0 - sum(traced["main_cpu_s"].values()) / sum(traced["cpu_s"].values())
+        print(f"  of the unattributed CPU, BLAS helper threads (not the main threads): {helpers:.1%} of all server CPU")
         print(f"  tracing overhead: cpu_ms_per_column {per_layer['trace.overhead_cpu_per_column']:+.1%}, "
+              f"main_thread_cpu_ms_per_column {per_layer['trace.overhead_main_thread_cpu_per_column']:+.1%}, "
               f"latency_p50_ms {per_layer['trace.overhead_latency_p50']:+.1%} (traced vs untraced)")
 
     correct = not report["divergences"]
@@ -368,6 +379,7 @@ def main(argv: list[str] | None = None) -> int:
             ("failed_fraction", plain["extra"]["failed_fraction"], "fraction"),
             ("sessions_per_core (= 80 / cpu_ms_per_column)", plain["extra"]["sessions_per_core"], "sessions"),
             ("process.server_cpu_util", plain["process"]["process.server_cpu_util"], "CPU s/s"),
+            ("process.helper_threads_cpu_ms_per_column", plain["process"]["process.helper_threads_cpu_ms_per_column"], "ms"),
             ("loadgen.lateness_p99_ms", lateness, "ms"),
             ("generator CPU", plain["extra"]["generator_cpu_util"], "CPU s/s"),
             ("generator connections", plain["extra"]["connections"], "connections"),
@@ -423,6 +435,7 @@ def per_layer_units() -> dict[str, str]:
         "process.server_threads": "count",
         "process.frontend_cpu_ms_per_column": "ms",
         "process.worker_cpu_ms_per_column": "ms",
+        "process.helper_threads_cpu_ms_per_column": "ms",
         "process.worker_ctx_switches_per_column": "count",
         "protocol.request_bytes_per_column": "B",
         "protocol.reply_bytes_per_column": "B",
@@ -440,6 +453,7 @@ def per_layer_units() -> dict[str, str]:
         "dsp.fallback_fraction": "fraction",
         "dsp.steering_hit_ratio": "fraction",
         "trace.overhead_cpu_per_column": "fraction",
+        "trace.overhead_main_thread_cpu_per_column": "fraction",
         "trace.overhead_latency_p50": "fraction",
     })
     units.update({f"unattributed_share.{role}": "fraction" for role in ROLES})

@@ -36,20 +36,24 @@ class ProcSample:
     """One reading of a process from /proc."""
 
     cpu_s: float
+    #: CPU of the main thread alone (tid == pid): the one thread that runs
+    #: the program's event loop, codec, sessions, scheduler and DSP calls.
+    #: The other threads are BLAS helpers.
+    main_cpu_s: float
     threads: int
     hwm_kb: int
     ctx_switches: int
 
 
 def read_proc(pid: int) -> ProcSample:
-    """CPU, threads, peak resident memory and context switches of one process.
+    """CPU, main-thread CPU, threads, peak RSS and context switches of one process.
 
     CPU is the sum over the process's threads of the nanosecond run
     time in ``/proc/<pid>/task/<tid>/schedstat`` (user and system); the
     ``utime``/``stime`` of ``/proc/<pid>/stat`` count 10 ms ticks, too
     coarse for a one-second phase.
     """
-    cpu_ns = switches = threads = 0
+    cpu_ns = main_ns = switches = threads = 0
     for task in os.listdir(f"/proc/{pid}/task"):
         try:
             schedstat = Path(f"/proc/{pid}/task/{task}/schedstat").read_text()
@@ -57,7 +61,10 @@ def read_proc(pid: int) -> ProcSample:
         except (FileNotFoundError, ProcessLookupError):  # the thread just exited
             continue
         threads += 1
-        cpu_ns += int(schedstat.split()[0])
+        run_ns = int(schedstat.split()[0])
+        cpu_ns += run_ns
+        if int(task) == pid:
+            main_ns = run_ns
         for line in task_status.splitlines():
             if line.startswith(("voluntary_ctxt_switches", "nonvoluntary_ctxt_switches")):
                 switches += int(line.split()[1])
@@ -67,6 +74,7 @@ def read_proc(pid: int) -> ProcSample:
         values[key] = rest.split()
     return ProcSample(
         cpu_s=cpu_ns / 1e9,
+        main_cpu_s=main_ns / 1e9,
         threads=threads,
         hwm_kb=int(values["VmHWM"][0]),
         ctx_switches=switches,
