@@ -450,6 +450,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Run the sharded multi-worker sensing fleet until stopped."""
     import asyncio
+    import signal
 
     from repro.fleet import FleetConfig, FleetServer
     from repro.serve import SchedulerConfig, ServeConfig
@@ -492,6 +493,12 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                 f"fleet: shard {snap['shard']} pid {snap['pid']} "
                 f"port {snap['port']}"
             )
+        # SIGTERM gets the drain SIGINT gets (cancel this task, so the
+        # finally below shuts the fleet down); otherwise the frontend
+        # dies without reaping its forked workers.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
         if hub is not None:
             gateway = ObserveGateway(
                 hub,
@@ -523,7 +530,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
     try:
         return asyncio.run(run())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         out("fleet: interrupted, shut down")
         return 0
 

@@ -17,7 +17,8 @@ modules above verbatim and stays the default; ``numpy-float32``
 (:mod:`~repro.dsp.backend_f32`) is a budgeted fast path, and
 ``numba`` (:mod:`~repro.dsp.backend_numba`) an auto-detected JIT
 backend.  Selection is per-process (``REPRO_DSP_BACKEND`` /
-``repro --dsp-backend``).
+``repro --dsp-backend``).  :mod:`~repro.dsp.blas` pins a serving
+process's OpenBLAS pools to one thread.
 
 Three contracts hold across the package, per backend:
 

@@ -48,6 +48,7 @@ from repro.core.tracking import (
     estimate_windows_batch,
 )
 from repro.dsp.backend import active_backend_name
+from repro.dsp.blas import blas_threads
 from repro.dsp.spectrum import beamform_batch
 from repro.dsp.steering import steering_matrix
 from repro.errors import ServeOverloadError
@@ -136,6 +137,7 @@ class SchedulerStats:
             "batch_p50": self.occupancy.percentile(0.5),
             "batch_p99": self.occupancy.percentile(0.99),
             "dsp_backend": active_backend_name(),
+            "blas_threads": blas_threads(),
         }
 
 

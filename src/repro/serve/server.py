@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.dsp.backend import active_backend_name
+from repro.dsp.blas import pin_blas_threads
 from repro.errors import (
     ProtocolError,
     ReproError,
@@ -191,9 +192,16 @@ class SensingServer:
         ]
 
     async def start(self) -> int:
-        """Bind, start the scheduler, return the bound port."""
+        """Pin BLAS to one thread, bind, start the scheduler, return the port.
+
+        Every serving process starts here (``repro serve``, each fleet
+        worker, in-process servers), so this is where the process's
+        OpenBLAS pools are pinned: one-window kernels gain nothing from
+        BLAS threads, whose spin would otherwise be most of the CPU.
+        """
         if self._server is not None:
             raise RuntimeError("server is already started")
+        pin_blas_threads()
         self._server = await asyncio.start_server(
             self._handle_connection,
             host=self.config.host,

@@ -5,6 +5,7 @@ that line is the contract scripts (and the CI smoke step) rely on when
 starting with ``--port 0``.
 """
 
+import os
 import re
 import subprocess
 import sys
@@ -20,7 +21,7 @@ PORT_LINE = re.compile(r"^serve: listening on (\S+) port (\d+)$")
 
 @pytest.fixture
 def serve_process(tmp_path):
-    """A real ``repro serve --port 0`` subprocess; yields its port."""
+    """A real ``repro serve --port 0`` subprocess; yields (port, pid)."""
     log = tmp_path / "serve.log"
     with log.open("w") as sink:
         process = subprocess.Popen(
@@ -42,7 +43,7 @@ def serve_process(tmp_path):
                 break
             time.sleep(0.1)
         assert port is not None, f"no port line in: {log.read_text()!r}"
-        yield port
+        yield port, process.pid
     finally:
         process.terminate()
         process.wait(timeout=10)
@@ -50,7 +51,7 @@ def serve_process(tmp_path):
 
 class TestConsoleScripts:
     def test_serve_prints_bound_port_and_answers(self, serve_process):
-        port = serve_process
+        port, _ = serve_process
         rng = np.random.default_rng(7)
         with ServeClient("127.0.0.1", port) as client:
             assert client.ping()["type"] == "pong"
@@ -64,7 +65,7 @@ class TestConsoleScripts:
             assert closed["columns_out"] == 3
 
     def test_load_command_exits_zero_against_live_server(self, serve_process):
-        port = serve_process
+        port, _ = serve_process
         result = subprocess.run(
             [sys.executable, "-m", "repro", "load",
              "--port", str(port), "--sessions", "3", "--seconds", "1"],
@@ -74,3 +75,20 @@ class TestConsoleScripts:
         )
         assert result.returncode == 0, result.stdout + result.stderr
         assert "zero protocol errors" in result.stdout
+
+    def test_serve_pins_every_blas_pool_to_one_thread(self, serve_process):
+        port, pid = serve_process
+        pools = set()
+        with open(f"/proc/{pid}/maps") as maps:
+            for line in maps:
+                fields = line.split(maxsplit=5)
+                if len(fields) == 6:
+                    name = os.path.basename(fields[5].strip())
+                    if "openblas" in name.lower():
+                        pools.add(name)
+        if not pools:
+            pytest.skip("the server loaded no OpenBLAS pool")
+        with ServeClient("127.0.0.1", port) as client:
+            reported = client.server_stats()["scheduler"]["blas_threads"]
+        assert set(reported) == pools
+        assert set(reported.values()) == {1}
