@@ -8,6 +8,12 @@ trace, asserts the two agree to <= 1e-12 with identical estimator
 decisions, and writes ``BENCH_processing_time.json`` for the CI
 perf-smoke step.
 
+It also records the per-window cost of ``estimate_windows_batch`` on
+windows of the same trace, stacked one at a time (a one-window serving
+tick) and 64 at a time (a full batch), stamped with the CPU count, the
+DSP backend and the BLAS pool thread counts.  That row is reported, not
+gated.
+
 It then re-times the same trace on every available non-default DSP
 backend (``--backend NAME`` restricts the sweep) and merges a
 per-backend entry — throughput, speedup over the float64 kernels,
@@ -16,13 +22,26 @@ under the ``"backends"`` key of the same JSON, where
 ``check_perf.py`` gates the float32 fast path.
 """
 
+import os
 import time
 
 import numpy as np
 
 from common import SEED, emit, write_bench_json
-from repro.core.tracking import TrackingConfig, compute_spectrogram
-from repro.dsp import DEFAULT_BACKEND, backend_infos, get_backend, use_backend
+from repro.core.tracking import (
+    TrackingConfig,
+    compute_spectrogram,
+    estimate_windows_batch,
+)
+from repro.dsp import (
+    DEFAULT_BACKEND,
+    active_backend_name,
+    backend_infos,
+    get_backend,
+    use_backend,
+)
+from repro.dsp.blas import blas_threads
+from repro.dsp.windows import sliding_windows
 from repro.dsp.reference import spectrogram_reference
 from repro.environment.walls import stata_conference_room_small
 from repro.simulator.experiment import make_subject_pool, tracking_trial
@@ -62,6 +81,20 @@ def bench_processing_time(benchmark, bench_backend):
     speedup = reference_s / batched_s
     columns_per_s = windows_per_s  # one spectrogram column per window
 
+    # -- per-window cost of the batched pass at the two serving shapes --
+    # Contiguous copies, as the scheduler stacks them; every window of
+    # the stack is timed in both shapes, best of five passes.
+    _, windows = sliding_windows(samples, config.window_size, config.hop)
+    stack = np.ascontiguousarray(windows[:64])
+    batch_of_one_s, _ = best_of(
+        5, lambda: [estimate_windows_batch(w[np.newaxis], config) for w in stack]
+    )
+    batch_of_64_s, _ = best_of(5, lambda: estimate_windows_batch(stack, config))
+    per_window_us = {
+        "batch_1": batch_of_one_s / len(stack) * 1e6,
+        "batch_64": batch_of_64_s / len(stack) * 1e6,
+    }
+
     lines = [
         "Smoothed-MUSIC processing of a 25 s trace "
         f"({len(samples)} channel samples -> {num_windows} windows):",
@@ -71,6 +104,8 @@ def bench_processing_time(benchmark, bench_backend):
         f"  batched kernels (numpy):  {batched_s:.3f} s "
         f"({windows_per_s:.0f} windows/s)",
         f"  speedup:                  {speedup:.1f}x",
+        f"  estimate_windows_batch:   {per_window_us['batch_1']:.0f} us/window "
+        f"at a batch of 1, {per_window_us['batch_64']:.0f} us/window at 64",
         "",
         "Outputs agree to <= 1e-12 with identical estimator decisions.",
     ]
@@ -143,6 +178,10 @@ def bench_processing_time(benchmark, bench_backend):
             "columns_per_s": columns_per_s,
             "reference_windows_per_s": reference_windows_per_s,
             "speedup_vs_reference": speedup,
+            "estimate_windows_batch_us_per_window": per_window_us,
+            "cpu_count": os.cpu_count() or 1,
+            "dsp_backend": active_backend_name(),
+            "blas_threads": blas_threads(),
             "backends": backends,
         },
     )

@@ -336,40 +336,44 @@ def estimate_windows_batch(
     backend = backend if backend is not None else active_backend()
     windows = np.asarray(windows, dtype=complex)
     num_windows, window_size = windows.shape
-    theta_grid = config.theta_grid_deg
-    power = np.empty((num_windows, len(theta_grid)))
-    counts = np.zeros(num_windows, dtype=int)
-    estimators = np.full(num_windows, ESTIMATOR_BEAMFORMING, dtype=object)
     telemetry = get_telemetry()
 
     # Windows with non-finite samples can never attempt MUSIC (the
     # covariance would poison the stacked eigh); they go straight to
-    # the fallback, mirroring the per-window non-finite raise.
-    finite = np.all(np.isfinite(windows), axis=1)
-    reasons = np.full(num_windows, "non-finite", dtype=object)
+    # the fallback, mirroring the per-window non-finite raise.  Rows
+    # are gathered and scattered only when some window is non-finite:
+    # a finite stack (every one-window serving tick) takes MUSIC's
+    # arrays as they are.  Rows MUSIC rejected hold undefined power
+    # and a zero count until the fallback patches them below.
+    finite = np.isfinite(windows).all(axis=1)
     music_rows = np.flatnonzero(finite)
-    if music_rows.size:
-        result = backend.music_batch(windows[music_rows], config)
-        if telemetry.enabled:
-            windows_counter = telemetry.metrics.counter("music.windows")
-            for row_values in result.eigenvalues:
-                windows_counter.inc()
-                telemetry.events.emit(
-                    "music.eigenvalues",
-                    eigenvalues=row_values,
-                    window_size=window_size,
-                    subarray_size=config.subarray_size,
-                )
-        reasons[music_rows] = result.reasons
-        passed = result.reasons == REASON_OK
-        ok_rows = music_rows[passed]
-        if ok_rows.size:
-            power[ok_rows] = result.power[passed]
-            counts[ok_rows] = result.source_counts[passed]
-            estimators[ok_rows] = ESTIMATOR_MUSIC
+    if num_windows and music_rows.size == num_windows:
+        result = backend.music_batch(windows, config)
+        power, counts, reasons = result.power, result.source_counts, result.reasons
+    else:
+        power = np.empty((num_windows, len(config.theta_grid_deg)))
+        counts = np.zeros(num_windows, dtype=int)
+        reasons = np.full(num_windows, "non-finite", dtype=object)
+        if music_rows.size:
+            result = backend.music_batch(windows[music_rows], config)
+            power[music_rows] = result.power
+            counts[music_rows] = result.source_counts
+            reasons[music_rows] = result.reasons
+    if music_rows.size and telemetry.enabled:
+        windows_counter = telemetry.metrics.counter("music.windows")
+        for row_values in result.eigenvalues:
+            windows_counter.inc()
+            telemetry.events.emit(
+                "music.eigenvalues",
+                eigenvalues=row_values,
+                window_size=window_size,
+                subarray_size=config.subarray_size,
+            )
 
+    estimators = np.full(num_windows, ESTIMATOR_MUSIC, dtype=object)
     fallback_rows = np.flatnonzero(reasons != REASON_OK)
     if fallback_rows.size:
+        estimators[fallback_rows] = ESTIMATOR_BEAMFORMING
         if telemetry.enabled:
             fallback_counter = telemetry.metrics.counter("music.fallbacks")
             for row in fallback_rows:

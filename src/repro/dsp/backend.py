@@ -191,15 +191,20 @@ class DspBackend:
         counts = np.zeros(num_windows, dtype=int)
         power = np.zeros((num_windows, len(config.theta_grid_deg)))
         passed = reasons == REASON_OK
+        # A basic slice while every row passes: views and plain copies
+        # instead of boolean gathers and scatters.  The projection
+        # conjugates its eigenvectors into a fresh contiguous stack
+        # either way, so both index forms feed it the same bytes.
+        rows = slice(None) if passed.all() else passed
         if np.any(passed):
             source_counts = self.estimate_source_counts_batch(
-                values[passed], config.max_sources
+                values[rows], config.max_sources
             )
             steering = self.steering_for(config)
-            power[passed] = self.music_pseudospectra_batch(
-                steering, vectors[passed], source_counts
+            power[rows] = self.music_pseudospectra_batch(
+                steering, vectors[rows], source_counts
             )
-            counts[passed] = source_counts
+            counts[rows] = source_counts
         return MusicBatchResult(
             power=power,
             source_counts=counts,

@@ -83,23 +83,43 @@ def _resolve(path: str):
 
 def _loaded_pools():
     """``(file name, get, set)`` for each loaded, resolvable pool."""
+    pools = []
     for path in _loaded_openblas_paths():
         pool = _resolve(path)
         if pool is not None:
-            yield os.path.basename(path), *pool
+            pools.append((os.path.basename(path), *pool))
+    return pools
+
+
+#: The pools the last pin resolved (or the first report, before any pin).
+_POOLS: list | None = None
 
 
 def blas_threads() -> dict[str, int]:
-    """Each loaded OpenBLAS pool's thread count, keyed by library file name."""
-    return {name: int(get()) for name, get, _ in _loaded_pools()}
+    """Each OpenBLAS pool's live thread count, keyed by library file name.
+
+    The pools are resolved once — by :func:`pin_blas_threads`, or by the
+    first call here — and each call reads their live
+    ``*_get_num_threads`` values, so a ``server_stats`` poll does not
+    re-read ``/proc/self/maps`` or re-open the libraries.
+    """
+    global _POOLS
+    if _POOLS is None:
+        _POOLS = _loaded_pools()
+    return {name: int(get()) for name, get, _ in _POOLS}
 
 
 def pin_blas_threads() -> dict[str, int]:
     """Set every loaded OpenBLAS pool to one thread; return the pools set.
 
-    Idempotent and cheap to repeat.  Returns ``{}`` where no pool is
-    found (non-Linux, or a BLAS other than OpenBLAS).
+    Re-resolves the loaded pools (a library may have loaded since the
+    last call) and keeps them for :func:`blas_threads`.  Idempotent;
+    each call reads ``/proc/self/maps``, so call it once per process
+    start, not per poll.  Returns ``{}`` where no pool is found
+    (non-Linux, or a BLAS other than OpenBLAS).
     """
-    for _, _, set_threads in _loaded_pools():
+    global _POOLS
+    _POOLS = _loaded_pools()
+    for _, _, set_threads in _POOLS:
         set_threads(1)
     return blas_threads()

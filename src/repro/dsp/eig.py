@@ -16,6 +16,8 @@ import numpy as np
 #: Reason value for windows that pass the conditioning screen.
 REASON_OK = ""
 
+_TINY = np.finfo(float).tiny
+
 
 def eigh_descending_batch(
     covariance: np.ndarray,
@@ -57,16 +59,19 @@ def classify_covariance_batch(
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     if eigenvalues.ndim != 2:
         raise ValueError("eigenvalues must be a (n, m) stack of rows")
-    tiny = np.finfo(float).tiny
     reasons = np.full(eigenvalues.shape[0], REASON_OK, dtype=object)
     with np.errstate(invalid="ignore"):
-        smallest = np.maximum(eigenvalues[:, -1], tiny)
+        smallest = np.maximum(eigenvalues[:, -1], _TINY)
         ill = eigenvalues[:, 0] > condition_limit * smallest
-        dead = np.sum(eigenvalues, axis=1) <= tiny
-    finite = np.all(np.isfinite(eigenvalues), axis=1)
-    reasons[ill] = "ill-conditioned"
-    reasons[dead] = "dead"
-    reasons[~finite] = "non-finite"
+        dead = eigenvalues.sum(axis=1) <= _TINY
+    finite = np.isfinite(eigenvalues).all(axis=1)
+    for flagged, reason in (
+        (ill, "ill-conditioned"),
+        (dead, "dead"),
+        (~finite, "non-finite"),
+    ):
+        if flagged.any():
+            reasons[flagged] = reason
     return reasons
 
 
@@ -91,8 +96,29 @@ def estimate_source_counts_batch(
         raise ValueError("need at least two eigenvalues")
     if max_sources < 1:
         raise ValueError("max_sources must be positive")
-    tiny = np.finfo(float).tiny
-    noise_level = np.maximum(np.median(eigenvalues[:, m // 2 :], axis=1), tiny)
+    noise_level = np.maximum(lower_half_median(eigenvalues), _TINY)
     threshold = noise_level * 10.0 ** (dominance_db / 10.0)
-    counts = np.sum(eigenvalues > threshold[:, np.newaxis], axis=1)
-    return np.clip(counts, 1, min(max_sources, m - 1)).astype(int)
+    counts = (eigenvalues > threshold[:, np.newaxis]).sum(axis=1)
+    return np.minimum(np.maximum(counts, 1), min(max_sources, m - 1)).astype(int)
+
+
+def lower_half_median(eigenvalues: np.ndarray) -> np.ndarray:
+    """Per-row median of the smaller half, ``eigenvalues[:, m // 2:]``.
+
+    Bit-identical to ``np.median(eigenvalues[:, m // 2:], axis=1)``, NaN
+    rows and odd half lengths included: the same ``np.partition``
+    pivots (the middle one or two, plus the last element, where the
+    partition leaves any NaN), the same ``np.mean`` of the middle
+    values, and the same NaN copy-back.  It skips ``np.median``'s
+    generic axis handling, which costs more than the arithmetic on a
+    one-window stack.
+    """
+    eigenvalues = np.asarray(eigenvalues)
+    half = eigenvalues[:, eigenvalues.shape[1] // 2 :]
+    size = half.shape[1]
+    kth = [size // 2 - 1, size // 2] if size % 2 == 0 else [size // 2]
+    part = np.partition(half, [*kth, -1], axis=1)
+    median = np.mean(part[:, kth[0] : kth[-1] + 1], axis=1)
+    last = part[:, -1]
+    np.copyto(median, last, where=np.isnan(last))
+    return median

@@ -15,7 +15,7 @@ kernels that need contiguous input copy explicitly.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 
 def window_starts(num_samples: int, window_size: int, hop: int) -> np.ndarray:
@@ -65,4 +65,12 @@ def subarray_view(windows: np.ndarray, subarray_size: int) -> np.ndarray:
     w = windows.shape[1]
     if not 1 < subarray_size <= w:
         raise ValueError("subarray size must be in (1, window size]")
-    return sliding_window_view(windows, subarray_size, axis=1)
+    # The read-only view sliding_window_view(windows, subarray_size,
+    # axis=1) returns, minus its per-call argument normalization.
+    stride = windows.strides[1]
+    return as_strided(
+        windows,
+        shape=(windows.shape[0], w - subarray_size + 1, subarray_size),
+        strides=(windows.strides[0], stride, stride),
+        writeable=False,
+    )

@@ -109,11 +109,17 @@ def screen_block(samples: np.ndarray) -> BlockHealth:
     if len(samples) == 0:
         raise ValueError("cannot screen an empty block")
     finite = np.isfinite(samples)
-    nan_fraction = float(np.mean(~finite))
-    zero_fraction = float(np.mean(samples[finite] == 0.0)) if finite.any() else 0.0
+    # Copy out the finite samples only when some are not.
+    if finite.all():
+        nan_fraction, clean = 0.0, samples
+    else:
+        nan_fraction, clean = float(np.mean(~finite)), samples[finite]
+    # count / size is the float np.mean of the mask gives, without its
+    # generic reduction wrapper: both are one correctly rounded division.
+    zero_fraction = np.count_nonzero(clean == 0.0) / clean.size if clean.size else 0.0
     saturation_fraction = 0.0
-    if finite.any():
-        rails = np.maximum(np.abs(samples[finite].real), np.abs(samples[finite].imag))
+    if clean.size:
+        rails = np.maximum(np.abs(clean.real), np.abs(clean.imag))
         peak = float(rails.max())
         if peak > 0.0:
             at_rail = int(np.count_nonzero(rails >= 0.999 * peak))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,63 @@ from repro.environment.human import BodyModel, Human
 from repro.environment.scene import Scene
 from repro.environment.trajectories import LinearTrajectory
 from repro.environment.walls import stata_conference_room_small
+
+#: Wall-clock limit on each phase (setup, call, teardown) of a test.
+#: The slowest test takes a few seconds; a phase still running after
+#: this is stuck, and fails with the traceback of where it waited
+#: instead of stalling the rest of the run.
+PHASE_TIME_LIMIT_S = 120.0
+
+#: Once over the limit, the alarm repeats this often until the phase
+#: unwinds (a first raise can land in a background asyncio task).
+_REPEAT_S = 5.0
+
+
+class PhaseTimeLimitExceeded(BaseException):
+    """A test phase ran past :data:`PHASE_TIME_LIMIT_S`.
+
+    A ``BaseException``, so neither the code under test's ``except
+    Exception`` handlers nor hypothesis's shrinker take it for an
+    ordinary failure and carry on.
+    """
+
+
+def _over_limit(signum, frame):
+    raise PhaseTimeLimitExceeded(
+        f"test phase still running after {PHASE_TIME_LIMIT_S:.0f} s"
+    )
+
+
+@contextmanager
+def _phase_time_limit():
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, _over_limit)
+    signal.setitimer(signal.ITIMER_REAL, PHASE_TIME_LIMIT_S, _REPEAT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_setup(item):
+    with _phase_time_limit():
+        yield
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    with _phase_time_limit():
+        yield
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_teardown(item, nextitem):
+    with _phase_time_limit():
+        yield
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from repro.dsp import blas
 from repro.dsp.blas import _loaded_pools, blas_threads, pin_blas_threads
 from repro.serve import AsyncServeClient, SensingServer
 
@@ -46,6 +47,27 @@ def test_pin_sets_every_loaded_pool_to_one_thread():
     assert set(pinned) == _pool_names("/proc/self/maps")
     assert set(pinned.values()) == {1}
     assert blas_threads() == pinned
+
+
+def test_blas_threads_reads_the_maps_once(monkeypatch):
+    # server_stats polls blas_threads(); only a pin re-reads the maps.
+    reads = []
+    read_maps = blas._loaded_openblas_paths
+    monkeypatch.setattr(
+        blas, "_loaded_openblas_paths", lambda: reads.append(1) or read_maps()
+    )
+    monkeypatch.setattr(blas, "_POOLS", None)
+    first = blas_threads()
+    assert blas_threads() == first
+    assert len(reads) == 1
+    pinned = pin_blas_threads()
+    assert len(reads) == 2
+    # The counts stay live: a change made behind the cache shows up.
+    _unpin()
+    assert set(blas_threads().values()) == {2}
+    pin_blas_threads()
+    assert blas_threads() == pinned
+    assert len(reads) == 4  # _unpin resolved the pools for itself
 
 
 def test_server_start_pins_and_server_stats_report_it():

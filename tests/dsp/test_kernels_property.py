@@ -4,20 +4,28 @@ Hypothesis drives random window stacks — including NaN bursts,
 saturated plateaus, dead windows, and rank-degenerate (constant-tone)
 content — through the full batched frame path and the legacy
 per-window reference, asserting <= 1e-12 agreement and identical
-guard/estimator decisions on every window.
+guard/estimator decisions on every window.  The batched pass gathers
+and scatters rows only when a window is non-finite or guard-rejected,
+so mixed stacks also pin every row to its batch-of-one result, bit for
+bit.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.tracking import TrackingConfig, compute_spectrogram
+from repro.core.tracking import (
+    TrackingConfig,
+    compute_spectrogram,
+    estimate_windows_batch,
+)
 from repro.dsp.covariance import smoothed_covariance_batch
 from repro.dsp.eig import (
     REASON_OK,
     classify_covariance_batch,
     eigh_descending_batch,
     estimate_source_counts_batch,
+    lower_half_median,
 )
 from repro.dsp.reference import (
     check_conditioning_reference,
@@ -107,3 +115,48 @@ def test_full_pipeline_matches_oracle(windows):
     np.testing.assert_allclose(spectrogram.power, power, rtol=1e-12, atol=1e-12)
     assert np.array_equal(spectrogram.source_counts, counts)
     assert np.array_equal(spectrogram.estimators, estimators)
+
+
+@settings(max_examples=40, deadline=None)
+@given(window_stacks())
+def test_batch_rows_equal_batch_of_one(windows):
+    # Clean stacks skip the gather/scatter; any non-finite, dead,
+    # saturated or guard-rejected window takes it.  Both must give
+    # every window the bits it gets alone.
+    power, counts, estimators = estimate_windows_batch(windows, CONFIG)
+    for k, window in enumerate(windows):
+        alone_power, alone_counts, alone_estimators = estimate_windows_batch(
+            window[np.newaxis], CONFIG
+        )
+        assert np.array_equal(power[k], alone_power[0])
+        assert counts[k] == alone_counts[0]
+        assert estimators[k] == alone_estimators[0]
+
+
+_SPECIALS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.0, 1e308]
+
+
+@st.composite
+def eigenvalue_rows(draw):
+    """A (rows, m) float stack, exactly as many values drawn as it holds."""
+    rows, m = draw(st.integers(1, 5)), draw(st.integers(2, 17))
+    values = draw(
+        st.lists(
+            st.floats(allow_nan=True) | st.sampled_from(_SPECIALS),
+            min_size=rows * m,
+            max_size=rows * m,
+        )
+    )
+    return np.array(values).reshape(rows, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eigenvalue_rows())
+def test_lower_half_median_is_numpy_median_bit_for_bit(eigenvalues):
+    # Even and odd m (so odd and even halves), NaN/Inf/signed-zero rows.
+    m = eigenvalues.shape[1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = np.median(eigenvalues[:, m // 2 :], axis=1)
+        measured = lower_half_median(eigenvalues)
+    assert measured.dtype == expected.dtype
+    assert np.array_equal(measured.view(np.uint64), expected.view(np.uint64))

@@ -50,6 +50,19 @@ def test_subarray_view_partitions_each_window(rng):
     assert np.shares_memory(subs, windows)
 
 
+def test_subarray_view_is_the_sliding_window_view(rng):
+    # Same shape, strides and read-only flag as numpy's own view, on a
+    # contiguous stack and on a strided one (windows of a series).
+    series = rng.normal(size=200) + 1j * rng.normal(size=200)
+    for windows in (series[:120].reshape(3, 40), sliding_windows(series, 40, 25)[1]):
+        subs = subarray_view(windows, 12)
+        expected = np.lib.stride_tricks.sliding_window_view(windows, 12, axis=1)
+        assert subs.shape == expected.shape
+        assert subs.strides == expected.strides
+        assert not subs.flags.writeable
+        assert np.array_equal(subs, expected)
+
+
 def test_subarray_view_validation():
     with pytest.raises(ValueError, match="two-dimensional"):
         subarray_view(np.ones(10), 4)

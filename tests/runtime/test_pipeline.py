@@ -206,6 +206,19 @@ class TestScreenBlock:
         # the four *additional* pinned samples.
         assert health.saturation_fraction == pytest.approx(0.2)
 
+    def test_finite_block_with_zeros_and_plateau(self):
+        # No NaN: the screen reads the block itself, not a copy.
+        block = np.array(
+            [0.0, 0.1 + 0.2j, 0.0, -0.3j, 2.0, 0.5, 2.0j, 0.0,
+             -2.0, 0.25 - 0.1j, 1.0 + 1.5j, 0.05],
+        )
+        health = screen_block(block)
+        assert health.nan_fraction == 0.0
+        assert health.zero_fraction == 3 / 12
+        # Rails max(|I|, |Q|) at the 2.0 peak: samples 4, 6 and 8;
+        # the plateau is the two beyond the peak sample itself.
+        assert health.saturation_fraction == 2 / 12
+
     def test_lone_peak_is_not_a_plateau(self, rng):
         block = 0.1 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
         health = screen_block(block)
