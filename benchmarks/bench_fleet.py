@@ -10,7 +10,7 @@ meaningless; the scaling gate in ``check_perf.py`` therefore only
 applies when the recorded ``multi_core`` flag is true.
 
 Correctness rides along: every session's served columns are verified
-against offline compute inside ``run_fleet_load``, so a routing or
+against offline compute inside ``run_load``, so a routing or
 relay bug fails the bench rather than inflating its throughput.
 """
 
@@ -19,8 +19,7 @@ import os
 
 from common import SEED, emit, format_table, trial_count, write_bench_json
 from repro.fleet import FleetConfig, FleetServer
-from repro.fleet.load import run_fleet_load
-from repro.serve import ServeConfig
+from repro.serve import ServeConfig, run_load
 
 SESSIONS = 16
 BLOCK_SIZE = 200
@@ -38,9 +37,10 @@ def _run_fleet_case(workers: int, pushes: int):
         )
         port = await fleet.start()
         try:
-            return await run_fleet_load(
+            return await run_load(
                 "127.0.0.1",
                 port,
+                resilient=True,
                 sessions=SESSIONS,
                 pushes=pushes,
                 block_size=BLOCK_SIZE,

@@ -14,7 +14,7 @@ tick) and 64 at a time (a full batch), stamped with the CPU count, the
 DSP backend and the BLAS pool thread counts.  That row is reported, not
 gated.
 
-It then re-times the same trace on every available non-default DSP
+It then re-times the same trace on every registered non-default DSP
 backend (``--backend NAME`` restricts the sweep) and merges a
 per-backend entry — throughput, speedup over the float64 kernels,
 guard/count agreement, and the measured Eq. 5.3 denominator error —
@@ -36,7 +36,7 @@ from repro.core.tracking import (
 from repro.dsp import (
     DEFAULT_BACKEND,
     active_backend_name,
-    backend_infos,
+    backend_names,
     get_backend,
     use_backend,
 )
@@ -109,15 +109,11 @@ def bench_processing_time(benchmark, bench_backend):
         "",
         "Outputs agree to <= 1e-12 with identical estimator decisions.",
     ]
-    # -- the backend sweep: same trace, every available fast path -------
+    # -- the backend sweep: same trace, every registered fast path ------
     if bench_backend is not None:
         sweep = [bench_backend]
     else:
-        sweep = [
-            info.name
-            for info in backend_infos()
-            if info.available and info.name != DEFAULT_BACKEND
-        ]
+        sweep = [name for name in backend_names() if name != DEFAULT_BACKEND]
     backends = {}
     for name in sweep:
         backend = get_backend(name)

@@ -21,7 +21,7 @@ from repro.observe import ObserveConfig, ObserveGateway, TelemetryHub
 from repro.observe.prometheus import parse_exposition
 from repro.observe.wsclient import collect_live
 from repro.serve import SchedulerConfig, SensingServer, ServeConfig
-from repro.serve.load import run_chaos_load, run_load
+from repro.serve.load import run_load
 
 SESSIONS = 8
 BLOCK_SIZE = 400
@@ -121,12 +121,15 @@ def bench_serve_load_batched_vs_serial():
             "latency_p99_ms": batched.latency_percentile(0.99),
             "batch_occupancy_mean": scheduler.get("mean_batch_windows", 0.0),
             "batch_occupancy_p99": scheduler.get("batch_p99", 0.0),
-            "protocol_errors": batched.protocol_errors + serial.protocol_errors,
+            "diverged_columns": batched.diverged_columns + serial.diverged_columns,
+            "incomplete_sessions": (
+                batched.incomplete_sessions + serial.incomplete_sessions
+            ),
         },
     )
 
-    assert batched.protocol_errors == 0, "batched run hit protocol errors"
-    assert serial.protocol_errors == 0, "serial run hit protocol errors"
+    assert batched.passed, "batched run diverged or left sessions incomplete"
+    assert serial.passed, "serial run diverged or left sessions incomplete"
     assert batched.columns > 0, "batched run served no columns"
     assert speedup >= MIN_BATCHED_SPEEDUP, (
         f"cross-session batching speedup {speedup:.2f}x is below the "
@@ -141,7 +144,7 @@ def _run_chaos_case(pushes: int):
         server = SensingServer(ServeConfig(idle_timeout_s=5.0))
         port = await server.start()
         try:
-            return await run_chaos_load(
+            return await run_load(
                 "127.0.0.1",
                 port,
                 sessions=CHAOS_SESSIONS,
@@ -353,7 +356,7 @@ def bench_serve_load_dashboard_overhead():
     )
     write_bench_json("serve_load", merged)
 
-    assert observed.protocol_errors == 0, "observed run hit protocol errors"
+    assert observed.passed, "observed run diverged or left sessions incomplete"
     assert ws_summary["columns"] > 0, "the live consumer received no columns"
     assert len(scrapes) >= 2, "the scraper never completed two scrapes"
     assert monotone, "scraped columns_served went backwards between scrapes"

@@ -35,7 +35,7 @@ def pytest_addoption(parser):
         help=(
             "Restrict the DSP-backend comparison section of "
             "bench_processing_time to one registered backend (default: "
-            "every available non-default backend). Defaults to the "
+            "every registered non-default backend). Defaults to the "
             "REPRO_BENCH_BACKEND environment variable when unset."
         ),
     )

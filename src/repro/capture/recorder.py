@@ -50,7 +50,6 @@ EVENT_HEALTH = "health"
 EVENT_COLUMN = "column"
 EVENT_DETECTION = "detection"
 EVENT_FAULT_SCHEDULE = "fault_schedule"
-EVENT_CHAOS_SCHEDULE = "chaos_schedule"
 
 
 class CaptureRecorder:
@@ -149,14 +148,6 @@ class CaptureRecorder:
         else:
             payload = dict(schedule)
         self.writer.append_event(EVENT_FAULT_SCHEDULE, schedule=payload)
-
-    def record_chaos_schedule(self, schedule: Any) -> None:
-        """The transport-chaos plan a serve run was subjected to."""
-        self.writer.append_event(EVENT_CHAOS_SCHEDULE, schedule=schedule)
-
-    def record_event(self, kind: str, **fields: Any) -> None:
-        """Escape hatch for manifest events without a dedicated verb."""
-        self.writer.append_event(kind, **fields)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -22,8 +22,10 @@ Subcommands, one per headline capability:
 * ``observe``   — serve the same gateway over a *recorded*
   ``--telemetry`` run directory: replayed events on ``/ws/live``, the
   recorded metrics snapshot on ``/metrics``.
-* ``load``      — drive a running ``serve`` with N concurrent sessions
-  and report throughput, latency percentiles, and batch occupancy.
+* ``load``      — drive a running ``serve`` or ``fleet`` with N
+  concurrent sessions (plain, resilient, or under seeded chaos), report
+  throughput and latency, and verify every served column bit-for-bit
+  against offline compute.
 * ``record``    — run the streaming pipeline and record exactly what
   the tracker saw into a retention-managed capture store
   (`repro.capture`).
@@ -582,113 +584,57 @@ def cmd_observe(args: argparse.Namespace) -> int:
 
 
 def cmd_load(args: argparse.Namespace) -> int:
-    """Drive a running ``serve`` instance with concurrent sessions."""
+    """Drive a running ``serve`` or ``fleet`` and verify every column."""
     import asyncio
 
-    from repro.serve import run_chaos_load, run_load
+    from repro.serve import run_load
 
-    if args.resilient:
-        from repro.fleet import run_fleet_load
-
-        report = asyncio.run(
-            run_fleet_load(
-                host=args.host,
-                port=args.port,
-                sessions=args.sessions,
-                pushes=args.pushes,
-                block_size=args.block_size,
-                seed=args.seed,
-                config={"window_size": 64, "hop": 16, "subarray_size": 16},
-            )
-        )
-        for key, value in report.summary().items():
-            out(f"  {key}: {value}")
-        failed = False
-        if report.diverged_columns:
-            out.error(f"load: {report.diverged_columns} diverged column(s)")
-            failed = True
-        if not report.all_defined:
-            bad = [o.outcome for o in report.outcomes if not o.defined]
-            out.error(f"load: undefined session outcome(s): {bad}")
-            failed = True
-        if report.incomplete_sessions:
-            bad = [
-                f"{o.session}:{o.outcome}"
-                for o in report.outcomes
-                if o.outcome != "complete"
-            ]
-            out.error(f"load: incomplete session(s): {bad}")
-            failed = True
-        if failed:
-            return 1
-        out(
-            "load: fleet run verified — zero divergence, "
-            f"{report.migrations} migration(s), "
-            f"{sum(o.resumes for o in report.outcomes)} resume(s)"
-        )
-        return 0
-
-    if args.chaos:
-        report = asyncio.run(
-            run_chaos_load(
-                host=args.host,
-                port=args.port,
-                sessions=args.sessions,
-                pushes=args.pushes,
-                block_size=args.block_size,
-                seed=args.seed,
-                chaos_seed=args.chaos_seed,
-                config={"window_size": 64, "hop": 16, "subarray_size": 16},
-            )
-        )
-        for key, value in report.summary().items():
-            out(f"  {key}: {value}")
-        if args.chaos_log is not None:
-            with open(args.chaos_log, "w", encoding="utf-8") as handle:
-                for line in report.chaos_log_lines():
-                    handle.write(line + "\n")
-            out(f"load: chaos log written to {args.chaos_log}")
-        failed = False
-        if report.diverged_columns:
-            out.error(f"load: {report.diverged_columns} diverged column(s)")
-            failed = True
-        if not report.all_defined:
-            bad = [o.outcome for o in report.outcomes if not o.defined]
-            out.error(f"load: undefined session outcome(s): {bad}")
-            failed = True
-        incomplete = [
-            o.session
-            for o in report.outcomes
-            if o.outcome == "complete" and o.columns != o.expected_columns
-        ]
-        if incomplete:
-            out.error(f"load: incomplete column stream in session(s) {incomplete}")
-            failed = True
-        if failed:
-            return 1
-        out(
-            "load: chaos run survived — zero divergence, "
-            f"{report.total_chaos_events} chaos events, "
-            f"{sum(o.reconnects for o in report.outcomes)} reconnects"
-        )
-        return 0
-
+    resilient = args.resilient or args.chaos
     report = asyncio.run(
         run_load(
             host=args.host,
             port=args.port,
             sessions=args.sessions,
             seconds=args.seconds,
+            resilient=resilient,
+            pushes=args.pushes,
             block_size=args.block_size,
             seed=args.seed,
+            chaos_seed=args.chaos_seed if args.chaos else None,
+            config=(
+                {"window_size": 64, "hop": 16, "subarray_size": 16}
+                if resilient
+                else None
+            ),
         )
     )
-    for key, value in report.summary().items():
+    summary = report.summary()
+    for key, value in summary.items():
         out(f"  {key}: {value}")
-    if report.protocol_errors:
-        out.error(f"load: {report.protocol_errors} protocol error(s)")
+    if args.chaos_log is not None:
+        with open(args.chaos_log, "w", encoding="utf-8") as handle:
+            for line in report.chaos_log_lines():
+                handle.write(line + "\n")
+        out(f"load: chaos log written to {args.chaos_log}")
+    if not report.passed:
+        if report.diverged_columns:
+            out.error(f"load: {report.diverged_columns} diverged column(s)")
+        bad = [
+            f"{o.session}:{o.outcome}"
+            for o in report.outcomes
+            if o.outcome != "complete"
+        ]
+        if bad:
+            out.error(f"load: incomplete session(s): {bad}")
         return 1
-    out("load: completed with zero protocol errors")
+    out(
+        f"load: verified — zero divergence over {report.columns} columns, "
+        f"{report.shed_requests} shed, "
+        f"{report.total_chaos_events} chaos events, "
+        f"{summary['reconnects']} reconnects, "
+        f"{summary['fleet_migrations']} migration(s), "
+        f"{summary['resumes']} resume(s)"
+    )
     return 0
 
 
@@ -855,27 +801,20 @@ def cmd_captures(args: argparse.Namespace) -> int:
 
 
 def cmd_backends(args: argparse.Namespace) -> int:
-    """List DSP backends: availability, role, and conformance status.
+    """List DSP backends: role and conformance status.
 
     One parseable line per backend —
 
-        ``name=numpy-float32 available=yes default=no active=no
-        dtype=complex64 conformance=pass(max_den_err=...)``
+        ``name=numpy-float32 default=no active=no dtype=complex64
+        conformance=pass(max_den_err=...)``
 
     — so scripts (and the CI backend matrix) can grep a backend's
-    status without JSON plumbing.  Unavailable backends report the
-    import failure instead of a conformance verdict.
+    status without JSON plumbing.
     """
     for info in backend_infos():
-        if not info.available:
-            status = f"unavailable({info.reason})"
-        elif args.no_check:
-            status = "skipped"
-        else:
-            status = quick_conformance(info.name)
+        status = "skipped" if args.no_check else quick_conformance(info.name)
         out(
             f"name={info.name} "
-            f"available={'yes' if info.available else 'no'} "
             f"default={'yes' if info.default else 'no'} "
             f"active={'yes' if info.active else 'no'} "
             f"dtype={info.dtype} "
@@ -1205,14 +1144,13 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument(
         "--chaos",
         action="store_true",
-        help="run the seeded chaos harness instead of the timed load",
+        help="drive resilient sessions under the seeded chaos harness",
     )
     load.add_argument(
         "--resilient",
         action="store_true",
-        help="drive verifying resilient sessions (for a fleet frontend): "
-        "fixed --pushes per session, every column checked bit-for-bit "
-        "against offline compute",
+        help="drive reconnecting, resuming sessions (for a fleet frontend) "
+        "for a fixed --pushes each instead of the timed --seconds load",
     )
     load.add_argument(
         "--chaos-seed",
@@ -1224,7 +1162,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--pushes",
         type=int,
         default=24,
-        help="pushes per session in chaos mode (fixed, for determinism)",
+        help="pushes per resilient session (fixed, for determinism)",
     )
     load.add_argument(
         "--chaos-log",

@@ -14,11 +14,10 @@ The kernel stack is dispatched through a pluggable backend protocol
 (:mod:`~repro.dsp.backend`): the reference
 :class:`~repro.dsp.backend.NumpyFloat64Backend` delegates to the
 modules above verbatim and stays the default; ``numpy-float32``
-(:mod:`~repro.dsp.backend_f32`) is a budgeted fast path, and
-``numba`` (:mod:`~repro.dsp.backend_numba`) an auto-detected JIT
-backend.  Selection is per-process (``REPRO_DSP_BACKEND`` /
-``repro --dsp-backend``).  :mod:`~repro.dsp.blas` pins a serving
-process's OpenBLAS pools to one thread.
+(:mod:`~repro.dsp.backend_f32`) is a budgeted fast path.  Selection
+is per-process (``REPRO_DSP_BACKEND`` / ``repro --dsp-backend``).
+:mod:`~repro.dsp.blas` pins a serving process's OpenBLAS pools to one
+thread.
 
 Three contracts hold across the package, per backend:
 
@@ -38,7 +37,7 @@ Three contracts hold across the package, per backend:
   ``tests/dsp/test_backend_conformance.py``.
 """
 
-from repro.dsp import backend_f32, backend_numba  # noqa: F401 - register backends
+from repro.dsp import backend_f32  # noqa: F401 - register the backend
 from repro.dsp.backend import (
     DEFAULT_BACKEND,
     BackendInfo,

@@ -15,9 +15,6 @@ streaming tracker) can run on alternative implementations:
   with an explicit per-column error budget, escalating any window the
   budget cannot certify back to the float64 kernels so degeneracy /
   fallback guard decisions match the reference *exactly*.
-* ``numba`` (:mod:`repro.dsp.backend_numba`) — an optional JIT
-  backend, auto-detected: it registers always but reports itself
-  unavailable when numba cannot be imported.
 
 Selection is **per process**: the ``REPRO_DSP_BACKEND`` environment
 variable (read once, lazily) or ``repro --dsp-backend`` picks the
@@ -119,11 +116,6 @@ class DspBackend:
     #: per angle on accepted rows (den is the Eq. 5.3 denominator,
     #: bounded by w'); None means bit-exactness is the budget.
     den_budget_per_m: float | None = None
-
-    @classmethod
-    def available(cls) -> tuple[bool, str]:
-        """``(importable, reason-if-not)`` — checked at selection."""
-        return True, ""
 
     # -- kernel protocol (reference float64 delegates) -----------------
 
@@ -266,15 +258,12 @@ def backend_names() -> list[str]:
 
 
 def get_backend(name: str) -> DspBackend:
-    """The singleton instance for ``name``; raises when unusable."""
+    """The singleton instance for ``name``; raises when unknown."""
     cls = _REGISTRY.get(name)
     if cls is None:
         raise DspBackendError(
             f"unknown DSP backend {name!r}; registered: {', '.join(_REGISTRY)}"
         )
-    ok, reason = cls.available()
-    if not ok:
-        raise DspBackendError(f"DSP backend {name!r} is unavailable: {reason}")
     instance = _INSTANCES.get(name)
     if instance is None:
         instance = _INSTANCES[name] = cls()
@@ -331,8 +320,6 @@ class BackendInfo:
     """One row of ``repro backends``."""
 
     name: str
-    available: bool
-    reason: str
     active: bool
     default: bool
     dtype: str
@@ -340,16 +327,13 @@ class BackendInfo:
 
 
 def backend_infos() -> list[BackendInfo]:
-    """Availability snapshot of every registered backend."""
+    """Identity snapshot of every registered backend."""
     active_name = active_backend().name
     infos = []
     for name, cls in _REGISTRY.items():
-        ok, reason = cls.available()
         infos.append(
             BackendInfo(
                 name=name,
-                available=ok,
-                reason=reason,
                 active=name == active_name,
                 default=name == DEFAULT_BACKEND,
                 dtype=np.dtype(cls.steering_dtype).name,
@@ -366,15 +350,11 @@ def quick_conformance(name: str, num_windows: int = 32) -> str:
     NaN-free saturated and a near-dead window — through the backend's
     fused :meth:`DspBackend.music_batch` and the reference backend,
     and reports ``"exact"`` / ``"pass(max_den_err=...)"`` / a
-    ``"FAIL(...)"`` diagnosis.  ``"unavailable"`` when the backend
-    cannot load.
+    ``"FAIL(...)"`` diagnosis.
     """
     from repro.core.tracking import TrackingConfig
 
-    try:
-        backend = get_backend(name)
-    except DspBackendError:
-        return "unavailable"
+    backend = get_backend(name)
     reference = get_backend(DEFAULT_BACKEND)
     config = TrackingConfig()
     rng = np.random.default_rng(20260807)

@@ -37,10 +37,6 @@ class DeviceGeometry:
     rx: Point = field(default_factory=lambda: Point(0.0, 0.0))
     antenna: DirectionalAntenna = LP0965_LIKE
 
-    @property
-    def tx_positions(self) -> tuple[Point, Point]:
-        return (self.tx1, self.tx2)
-
     def boresight_angle_to(self, antenna_position: Point, target: Point) -> float:
         """Angle (radians) of ``target`` off the +x boresight as seen
         from ``antenna_position``."""

@@ -58,15 +58,6 @@ class Trajectory(ABC):
         """Scalar speed at ``time_s``."""
         return self.velocity(time_s).norm()
 
-    def sample_positions(self, times_s: np.ndarray) -> np.ndarray:
-        """Positions at each time, as an (n, 2) float array."""
-        points = np.empty((len(times_s), 2), dtype=float)
-        for index, time_s in enumerate(times_s):
-            point = self.position(float(time_s))
-            points[index, 0] = point.x
-            points[index, 1] = point.y
-        return points
-
 
 @dataclass(frozen=True)
 class StationaryTrajectory(Trajectory):

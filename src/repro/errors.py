@@ -18,7 +18,7 @@ Hierarchy::
     │   └── ClockFault
     ├── CalibrationError       (Algorithm 1 could not converge)
     ├── DegenerateCovarianceError  (MUSIC cannot run on this window)
-    ├── DspBackendError        (a DSP backend is unknown or unavailable)
+    ├── DspBackendError        (a DSP backend is not registered)
     ├── CaptureQualityError    (a screened capture was rejected)
     ├── DeviceFailedError      (the health machine gave up)
     ├── ProtocolError          (a serving wire frame was invalid)
@@ -95,12 +95,11 @@ class DegenerateCovarianceError(ReproError):
 
 
 class DspBackendError(ReproError):
-    """A DSP backend was requested that is unknown or unavailable.
+    """A DSP backend was requested that is not registered.
 
     Raised by the :mod:`repro.dsp.backend` registry when
     ``REPRO_DSP_BACKEND``/``--dsp-backend`` names a backend that was
-    never registered, or one whose dependency (e.g. numba) cannot be
-    imported in this process.
+    never registered.
     """
 
 

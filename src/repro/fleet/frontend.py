@@ -394,8 +394,14 @@ class FleetServer:
             state.metrics_cache = snapshot.get("metrics", {})
 
     async def _supervise(self) -> None:
-        """Restart crashed shards; keep per-shard caches fresh."""
-        while True:
+        """Restart crashed shards; keep per-shard caches fresh.
+
+        The loop also ends on :attr:`_stopped`: on Python 3.11 an
+        ``asyncio.wait_for`` whose probe finishes as :meth:`shutdown`
+        cancels this task swallows the cancellation, and a ``while
+        True`` loop would then keep shutdown waiting forever.
+        """
+        while not self._stopped.is_set():
             await asyncio.sleep(self.config.supervisor_interval_s)
             for state in list(self._shards.values()):
                 if state.stopped or state.draining:

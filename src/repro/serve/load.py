@@ -1,24 +1,39 @@
-"""Load generator for the sensing service.
+"""Seeded, verifying load generator for the sensing service.
 
 Spins N concurrent sessions — each its own connection, so the server's
-micro-batching has real cross-session concurrency to exploit — and
-streams seeded complex-noise blocks for a fixed duration.  Reports the
-numbers the serving benchmark and the CI smoke step care about:
-aggregate columns/s, request-latency percentiles, error/shed counts,
-and the server's own scheduler snapshot (batch occupancy).
+micro-batching (or a fleet frontend's routing) has real cross-session
+concurrency to exploit.  One driver, two client kinds:
+
+* **plain** — an :class:`AsyncServeClient` per session streams seeded
+  complex noise until ``seconds`` runs out.  This is the throughput
+  load; a shed push is counted and skipped.
+* **resilient** — a :class:`ResilientServeClient` per session pushes a
+  fixed number of blocks of a pre-generated trace, reconnecting and
+  resuming through drains, worker crashes and, when a chaos seed is
+  given, the seeded transport chaos it applies to itself.  A fixed
+  push count (not a clock) keeps chaos runs deterministic.
+
+Either way each session keeps the blocks the server accepted, and once
+the clock stops every served column is checked bit-for-bit against the
+offline ``compute_spectrogram`` of those samples, outside the timed
+window.  So every report carries its divergence count, and
+:attr:`LoadReport.passed` is the one gate: zero diverged columns and
+every session ``complete`` — a defined end with all its expected
+columns.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
 from repro.chaos import ChaosSchedule, ChaosScheduleConfig, ClientChaos
-from repro.core.tracking import compute_spectrogram
+from repro.core.tracking import TrackingConfig, compute_spectrogram
 from repro.errors import ReproError, ServeOverloadError
+from repro.runtime.tracker import SpectrogramColumn
 from repro.serve.client import AsyncServeClient
 from repro.serve.resilient import BackoffPolicy, ResilientServeClient
 from repro.serve.session import config_from_wire
@@ -27,151 +42,30 @@ from repro.serve.session import config_from_wire
 #: camera-ready date) without importing from outside the package.
 DEFAULT_SEED = 20130812
 
-
-@dataclass
-class LoadReport:
-    """Aggregate outcome of one load run."""
-
-    sessions: int = 0
-    seconds: float = 0.0
-    requests: int = 0
-    columns: int = 0
-    detections: int = 0
-    protocol_errors: int = 0
-    shed_requests: int = 0
-    latencies_s: list[float] = field(default_factory=list)
-    server_stats: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def columns_per_s(self) -> float:
-        return self.columns / self.seconds if self.seconds > 0 else 0.0
-
-    def latency_percentile(self, q: float) -> float:
-        """Request latency percentile in milliseconds."""
-        if not self.latencies_s:
-            return 0.0
-        return float(np.percentile(np.asarray(self.latencies_s), q * 100)) * 1e3
-
-    def summary(self) -> dict[str, Any]:
-        return {
-            "sessions": self.sessions,
-            "seconds": round(self.seconds, 3),
-            "requests": self.requests,
-            "columns": self.columns,
-            "columns_per_s": round(self.columns_per_s, 2),
-            "detections": self.detections,
-            "protocol_errors": self.protocol_errors,
-            "shed_requests": self.shed_requests,
-            "latency_p50_ms": round(self.latency_percentile(0.5), 3),
-            "latency_p99_ms": round(self.latency_percentile(0.99), 3),
-            "batch_occupancy_mean": self.server_stats.get("scheduler", {}).get(
-                "mean_batch_windows"
-            ),
-            "batch_occupancy_p99": self.server_stats.get("scheduler", {}).get(
-                "batch_p99"
-            ),
-        }
-
-
-async def _drive_session(
-    host: str,
-    port: int,
-    seconds: float,
-    block_size: int,
-    seed: int,
-    config: dict[str, Any] | None,
-    report: LoadReport,
-    stop: asyncio.Event,
-) -> None:
-    """One session's lifetime: open, push until the clock runs out, close."""
-    rng = np.random.default_rng(seed)
-    client = AsyncServeClient(host, port)
-    await client.connect()
-    try:
-        await client.open_session(config=config)
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + seconds
-        while loop.time() < deadline and not stop.is_set():
-            block = rng.standard_normal(block_size) + 1j * rng.standard_normal(
-                block_size
-            )
-            try:
-                await client.push(block)
-            except ServeOverloadError:
-                report.shed_requests += 1
-                await asyncio.sleep(0.01)
-            except ReproError:
-                report.protocol_errors += 1
-                break
-        try:
-            await client.close_session()
-        except (ReproError, ConnectionError):  # pragma: no cover - teardown race
-            pass
-    finally:
-        report.requests += client.stats.requests
-        report.columns += client.stats.columns
-        report.detections += client.stats.detections
-        report.latencies_s.extend(client.stats.latencies_s)
-        await client.aclose()
-
-
-async def run_load(
-    host: str,
-    port: int,
-    sessions: int = 8,
-    seconds: float = 5.0,
-    block_size: int = 400,
-    seed: int = DEFAULT_SEED,
-    config: dict[str, Any] | None = None,
-) -> LoadReport:
-    """Drive ``sessions`` concurrent clients for ``seconds``.
-
-    Each session streams independent seeded noise (seed + session
-    index), so runs are reproducible while sessions stay decorrelated.
-    """
-    report = LoadReport(sessions=sessions, seconds=seconds)
-    stop = asyncio.Event()
-    tasks = [
-        asyncio.create_task(
-            _drive_session(
-                host, port, seconds, block_size, seed + i, config, report, stop
-            ),
-            name=f"load-session-{i}",
-        )
-        for i in range(sessions)
-    ]
-    results = await asyncio.gather(*tasks, return_exceptions=True)
-    for outcome in results:
-        if isinstance(outcome, BaseException):
-            report.protocol_errors += 1
-    # One last connection for the server's own view of the run.
-    probe = AsyncServeClient(host, port)
-    try:
-        await probe.connect()
-        report.server_stats = await probe.server_stats()
-        await probe.aclose()
-    except (ConnectionError, OSError, ReproError):  # pragma: no cover
-        pass
-    return report
-
-
-# ----------------------------------------------------------------------
-# Chaos mode
-# ----------------------------------------------------------------------
+#: Resilient sessions' reconnect budget: enough attempts to ride out a
+#: fleet worker restart, not only a dropped connection.
+_RESILIENT_BACKOFF = BackoffPolicy(max_attempts=12)
 
 
 @dataclass
-class ChaosSessionOutcome:
-    """How one chaos-driven session ended."""
+class SessionOutcome:
+    """How one load session ended, and what it served."""
 
     session: int
-    outcome: str  # "complete" or "error:<TaxonomyClass>"
+    #: ``complete``, ``error:<TaxonomyClass>`` (a typed end, including
+    #: ``error:IncompleteStream`` for a short column stream), or
+    #: ``undefined:<Exception>`` when the driver itself failed.
+    outcome: str
     columns: int = 0
     expected_columns: int = 0
     diverged_columns: int = 0
+    requests: int = 0
+    detections: int = 0
+    shed_requests: int = 0
     reconnects: int = 0
     resumes: int = 0
     duplicate_acks: int = 0
+    fleet_migrations: int = 0
     chaos_events_applied: int = 0
 
     @property
@@ -180,43 +74,81 @@ class ChaosSessionOutcome:
         return self.outcome == "complete" or self.outcome.startswith("error:")
 
 
-@dataclass
-class ChaosLoadReport:
-    """Aggregate outcome of one seeded chaos load run.
+def _percentile_ms(samples_s: list[float], q: float) -> float:
+    if not samples_s:
+        return 0.0
+    return float(np.percentile(np.asarray(samples_s), q * 100)) * 1e3
 
-    The two gates the soak enforces: :attr:`diverged_columns` must be
-    zero (every served column bit-equal to the offline reference), and
-    every session outcome must be *defined* — either ``complete`` or a
-    typed taxonomy error, never a hang or an unhandled exception.
-    """
+
+@dataclass
+class LoadReport:
+    """Aggregate outcome of one load run."""
 
     sessions: int = 0
-    pushes_per_session: int = 0
-    chaos_seed: int = 0
-    outcomes: list[ChaosSessionOutcome] = field(default_factory=list)
+    resilient: bool = False
+    chaos_seed: int | None = None
+    #: Wall time of the sessions themselves (verification excluded).
+    seconds: float = 0.0
+    outcomes: list[SessionOutcome] = field(default_factory=list)
+    #: Plain-client request round trips.
+    latencies_s: list[float] = field(default_factory=list)
+    #: Resilient-client reconnect-to-first-column latencies.
     recovery_latencies_s: list[float] = field(default_factory=list)
     chaos_log: list[str] = field(default_factory=list)
     server_stats: dict[str, Any] = field(default_factory=dict)
 
+    def _total(self, name: str) -> int:
+        return sum(getattr(outcome, name) for outcome in self.outcomes)
+
+    @property
+    def columns(self) -> int:
+        return self._total("columns")
+
+    @property
+    def columns_per_s(self) -> float:
+        return self.columns / self.seconds if self.seconds > 0 else 0.0
+
+    @property
+    def requests(self) -> int:
+        return self._total("requests")
+
+    @property
+    def shed_requests(self) -> int:
+        return self._total("shed_requests")
+
     @property
     def diverged_columns(self) -> int:
-        return sum(outcome.diverged_columns for outcome in self.outcomes)
+        return self._total("diverged_columns")
+
+    @property
+    def total_chaos_events(self) -> int:
+        return self._total("chaos_events_applied")
+
+    @property
+    def incomplete_sessions(self) -> int:
+        return sum(1 for outcome in self.outcomes if outcome.outcome != "complete")
 
     @property
     def all_defined(self) -> bool:
         return all(outcome.defined for outcome in self.outcomes)
 
     @property
-    def total_chaos_events(self) -> int:
-        return sum(o.chaos_events_applied for o in self.outcomes)
+    def passed(self) -> bool:
+        """Zero divergence, and every session complete.
+
+        ``complete`` is only kept by a session that served every column
+        its accepted samples produce, so this also rules out undefined
+        ends and short streams.
+        """
+        return self.diverged_columns == 0 and self.incomplete_sessions == 0
+
+    def latency_percentile(self, q: float) -> float:
+        """Request latency percentile in milliseconds."""
+        return _percentile_ms(self.latencies_s, q)
 
     def recovery_percentile(self, q: float) -> float:
         """Reconnect-to-first-column latency percentile, milliseconds."""
-        if not self.recovery_latencies_s:
-            return 0.0
-        return float(
-            np.percentile(np.asarray(self.recovery_latencies_s), q * 100)
-        ) * 1e3
+        return _percentile_ms(self.recovery_latencies_s, q)
 
     def chaos_log_lines(self) -> list[str]:
         """The deterministic chaos record: plans + client-side logs.
@@ -229,28 +161,47 @@ class ChaosLoadReport:
         return list(self.chaos_log)
 
     def summary(self) -> dict[str, Any]:
+        scheduler = self.server_stats.get("scheduler", {})
         return {
             "sessions": self.sessions,
-            "pushes_per_session": self.pushes_per_session,
+            "client": "resilient" if self.resilient else "plain",
             "chaos_seed": self.chaos_seed,
-            "chaos_events_applied": self.total_chaos_events,
-            "columns": sum(o.columns for o in self.outcomes),
+            "seconds": round(self.seconds, 3),
+            "requests": self.requests,
+            "columns": self.columns,
+            "columns_per_s": round(self.columns_per_s, 2),
+            "detections": self._total("detections"),
+            "shed_requests": self.shed_requests,
             "diverged_columns": self.diverged_columns,
+            "incomplete_sessions": self.incomplete_sessions,
             "all_outcomes_defined": self.all_defined,
-            "outcomes": [o.outcome for o in self.outcomes],
-            "reconnects": sum(o.reconnects for o in self.outcomes),
-            "resumes": sum(o.resumes for o in self.outcomes),
-            "duplicate_acks": sum(o.duplicate_acks for o in self.outcomes),
+            "latency_p50_ms": round(self.latency_percentile(0.5), 3),
+            "latency_p99_ms": round(self.latency_percentile(0.99), 3),
+            "chaos_events_applied": self.total_chaos_events,
+            "reconnects": self._total("reconnects"),
+            "resumes": self._total("resumes"),
+            "duplicate_acks": self._total("duplicate_acks"),
+            "fleet_migrations": self._total("fleet_migrations"),
             "recovery_p50_ms": round(self.recovery_percentile(0.5), 3),
             "recovery_p99_ms": round(self.recovery_percentile(0.99), 3),
+            "batch_occupancy_mean": scheduler.get("mean_batch_windows"),
+            "batch_occupancy_p99": scheduler.get("batch_p99"),
+            "shards": [
+                {
+                    "shard": shard.get("shard"),
+                    "state": shard.get("state"),
+                    "columns_served": shard.get("columns_served"),
+                }
+                for shard in self.server_stats.get("shards", [])
+            ],
         }
 
 
-def _chaos_trace(seed: int, pushes: int, block_size: int) -> np.ndarray:
-    """One session's full seeded trace, generated up front.
+def _session_trace(seed: int, pushes: int, block_size: int) -> np.ndarray:
+    """A resilient session's full seeded trace, generated up front.
 
     Pre-generating (rather than drawing inside the push loop) is what
-    makes the offline reference and the re-sent pushes bit-identical.
+    makes re-sent pushes bit-identical to the first send.
     """
     rng = np.random.default_rng(seed)
     n = np.arange(pushes * block_size)
@@ -262,140 +213,214 @@ def _chaos_trace(seed: int, pushes: int, block_size: int) -> np.ndarray:
     )
 
 
-async def _drive_chaos_session(
+def _noise_blocks(seed: int, block_size: int, seconds: float) -> Iterator[np.ndarray]:
+    """Seeded complex-noise blocks until ``seconds`` after the first."""
+    rng = np.random.default_rng(seed)
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + seconds
+    while loop.time() < deadline:
+        yield rng.standard_normal(block_size) + 1j * rng.standard_normal(block_size)
+
+
+async def _drive_session(
     index: int,
     host: str,
     port: int,
-    trace: np.ndarray,
-    block_size: int,
+    *,
+    resilient: bool,
+    seconds: float,
     pushes: int,
-    chaos: ClientChaos,
-    backoff: BackoffPolicy,
+    block_size: int,
+    seed: int,
     config: dict[str, Any] | None,
-    expected_power: np.ndarray,
-) -> tuple[ChaosSessionOutcome, list[float]]:
-    """One session's chaos-ridden lifetime; never raises."""
-    client = ResilientServeClient(
-        host,
-        port,
-        session_config=config,
-        chaos=chaos,
-        backoff=backoff,
-        seed=chaos.seed,
-    )
-    outcome = "complete"
+    chaos: ClientChaos | None,
+    report: LoadReport,
+) -> tuple[SessionOutcome, list[np.ndarray], list[SpectrogramColumn]]:
+    """One session's lifetime; a protocol failure is an outcome, not a raise.
+
+    Returns the outcome (verified later), the blocks the server
+    accepted, and the columns it served.
+    """
+    outcome = SessionOutcome(session=index, outcome="complete")
+    client: AsyncServeClient | ResilientServeClient
+    if resilient:
+        client = ResilientServeClient(
+            host,
+            port,
+            session_config=config,
+            chaos=chaos,
+            backoff=_RESILIENT_BACKOFF,
+            seed=seed,
+            routing_key=f"fleet-load-{index}",
+        )
+        blocks: Iterator[np.ndarray] = iter(
+            _session_trace(seed, pushes, block_size).reshape(pushes, block_size)
+        )
+    else:
+        client = AsyncServeClient(host, port)
+        blocks = _noise_blocks(seed, block_size, seconds)
+    accepted: list[np.ndarray] = []
+    served: list[SpectrogramColumn] = []
     try:
-        await client.start()
-        for push in range(pushes):
-            block = trace[push * block_size : (push + 1) * block_size]
-            await client.push(block)
+        if isinstance(client, ResilientServeClient):
+            await client.start()
+        else:
+            await client.connect()
+            await client.open_session(config=config)
+        for block in blocks:
+            # Counted before the reply: a push whose reply is lost may
+            # still have been applied, and its columns must verify.
+            accepted.append(block)
+            try:
+                reply = await client.push(block)
+            except ServeOverloadError:
+                if isinstance(client, ResilientServeClient):
+                    raise  # it already retried up to its shed limit
+                accepted.pop()
+                outcome.shed_requests += 1
+                await asyncio.sleep(0.01)
+                continue
+            served.extend(reply.columns)
         await client.close_session()
     except ReproError as exc:
-        outcome = f"error:{type(exc).__name__}"
+        outcome.outcome = f"error:{type(exc).__name__}"
     except (ConnectionError, OSError, asyncio.IncompleteReadError):
-        outcome = "error:ConnectionError"
+        outcome.outcome = "error:ConnectionError"
     finally:
         await client.aclose()
-    served = client.served_columns()
-    diverged = 0
-    for column in served:
-        if column.index >= len(expected_power) or not np.array_equal(
-            column.power, expected_power[column.index]
-        ):
-            diverged += 1
-    if outcome == "complete" and len(served) != len(expected_power):
-        outcome = "error:IncompleteStream"
-    return ChaosSessionOutcome(
-        session=index,
-        outcome=outcome,
-        columns=len(served),
-        expected_columns=len(expected_power),
-        diverged_columns=diverged,
-        reconnects=client.stats.reconnects,
-        resumes=client.stats.resumes,
-        duplicate_acks=client.stats.duplicate_acks,
-        chaos_events_applied=client.stats.chaos_events_applied,
-    ), client.stats.recovery_latencies_s
+    if isinstance(client, ResilientServeClient):
+        served = client.served_columns()  # deduplicated across re-sends
+        stats = client.stats
+        outcome.requests = stats.pushes
+        outcome.detections = len(client.detections)
+        outcome.reconnects = stats.reconnects
+        outcome.resumes = stats.resumes
+        outcome.duplicate_acks = stats.duplicate_acks
+        outcome.fleet_migrations = stats.fleet_migrations
+        outcome.chaos_events_applied = stats.chaos_events_applied
+        report.recovery_latencies_s.extend(stats.recovery_latencies_s)
+    else:
+        outcome.requests = client.stats.requests
+        outcome.detections = client.stats.detections
+        report.latencies_s.extend(client.stats.latencies_s)
+    return outcome, accepted, served
 
 
-async def run_chaos_load(
+def _verify(
+    outcome: SessionOutcome,
+    accepted: list[np.ndarray],
+    served: list[SpectrogramColumn],
+    tracking: TrackingConfig,
+) -> None:
+    """Check every served column against offline compute, bit for bit."""
+    samples = np.concatenate(accepted) if accepted else np.empty(0, dtype=complex)
+    expected = (
+        compute_spectrogram(samples, tracking).power
+        if len(samples) >= tracking.window_size
+        else np.empty((0, len(tracking.theta_grid_deg)))
+    )
+    outcome.columns = len(served)
+    outcome.expected_columns = len(expected)
+    outcome.diverged_columns = sum(
+        1
+        for column in served
+        if column.index >= len(expected)
+        or not np.array_equal(column.power, expected[column.index])
+    )
+    if outcome.outcome == "complete" and len(served) != len(expected):
+        outcome.outcome = "error:IncompleteStream"
+
+
+async def _server_stats(host: str, port: int) -> dict[str, Any]:
+    """One last connection for the server's own view of the run."""
+    probe = AsyncServeClient(host, port)
+    try:
+        await probe.connect()
+        return await probe.server_stats()
+    except (ConnectionError, OSError, ReproError):
+        return {}
+    finally:
+        await probe.aclose()
+
+
+async def run_load(
     host: str,
     port: int,
     sessions: int = 8,
+    *,
+    seconds: float = 5.0,
+    resilient: bool = False,
     pushes: int = 24,
-    block_size: int = 200,
+    block_size: int = 400,
     seed: int = DEFAULT_SEED,
-    chaos_seed: int = 7,
+    chaos_seed: int | None = None,
     chaos_config: ChaosScheduleConfig | None = None,
     config: dict[str, Any] | None = None,
-    backoff: BackoffPolicy | None = None,
-) -> ChaosLoadReport:
-    """Drive N resilient sessions through seeded chaos; verify columns.
+) -> LoadReport:
+    """Drive ``sessions`` concurrent clients, then verify every column.
 
-    Each session gets its own trace (``seed + i``) and its own chaos
-    schedule (``chaos_seed + i``, horizon = its push count), applied by
-    :class:`ResilientServeClient`.  Every served column is checked
-    bit-for-bit against the offline ``compute_spectrogram`` of the same
-    trace, so a recovery bug that drops, re-orders, or re-computes a
-    window differently is a counted divergence, not a silent pass.
+    Plain clients stream for ``seconds``; ``resilient=True`` clients
+    push ``pushes`` blocks each.  A ``chaos_seed`` runs resilient
+    clients under seeded chaos (``resilient`` is implied): session
+    ``i`` gets the schedule ``chaos_seed + i`` over its push count.
+    Session ``i`` streams seed ``seed + i``, so runs are reproducible
+    while sessions stay decorrelated; resilient sessions carry a
+    stable ``routing_key``, which a fleet frontend hashes on and a
+    direct server ignores.
     """
-    chaos_config = chaos_config or ChaosScheduleConfig()
-    backoff = backoff or BackoffPolicy()
-    report = ChaosLoadReport(
-        sessions=sessions, pushes_per_session=pushes, chaos_seed=chaos_seed
-    )
-    tracking = config_from_wire(dict(config) if config else None)
-    plans: list[ClientChaos] = []
-    traces: list[np.ndarray] = []
-    references: list[np.ndarray] = []
-    for i in range(sessions):
-        schedule = ChaosSchedule.generate(chaos_config, pushes, chaos_seed + i)
-        plans.append(ClientChaos(schedule, seed=chaos_seed + i))
-        trace = _chaos_trace(seed + i, pushes, block_size)
-        traces.append(trace)
-        references.append(compute_spectrogram(trace, tracking).power)
+    resilient = resilient or chaos_seed is not None
+    report = LoadReport(sessions=sessions, resilient=resilient, chaos_seed=chaos_seed)
+    plans = [
+        ClientChaos(
+            ChaosSchedule.generate(
+                chaos_config or ChaosScheduleConfig(), pushes, chaos_seed + i
+            ),
+            seed=chaos_seed + i,
+        )
+        if chaos_seed is not None
+        else None
+        for i in range(sessions)
+    ]
+    loop = asyncio.get_running_loop()
+    start = loop.time()
     results = await asyncio.gather(
         *[
-            _drive_chaos_session(
+            _drive_session(
                 i,
                 host,
                 port,
-                traces[i],
-                block_size,
-                pushes,
-                plans[i],
-                backoff,
-                config,
-                references[i],
+                resilient=resilient,
+                seconds=seconds,
+                pushes=pushes,
+                block_size=block_size,
+                seed=seed + i,
+                config=config,
+                chaos=plans[i],
+                report=report,
             )
             for i in range(sessions)
         ],
         return_exceptions=True,
     )
+    report.seconds = loop.time() - start
+    tracking = config_from_wire(dict(config) if config else None)
     for i, result in enumerate(results):
         if isinstance(result, BaseException):
             # A driver bug, not a protocol outcome: record it as an
             # *undefined* terminal state so the gate fails loudly.
             report.outcomes.append(
-                ChaosSessionOutcome(
-                    session=i, outcome=f"undefined:{type(result).__name__}"
-                )
+                SessionOutcome(session=i, outcome=f"undefined:{type(result).__name__}")
             )
             continue
-        outcome, recoveries = result
+        outcome, accepted, served = result
+        _verify(outcome, accepted, served, tracking)
         report.outcomes.append(outcome)
-        report.recovery_latencies_s.extend(recoveries)
-    # The deterministic chaos record: per-session plan + applied log.
     for i, plan in enumerate(plans):
+        if plan is None:
+            continue
         for line in plan.schedule.describe():
             report.chaos_log.append(f"s{i} plan {line}")
         for entry in plan.log:
             report.chaos_log.append(f"s{i} applied {entry.describe()}")
-    probe = AsyncServeClient(host, port)
-    try:
-        await probe.connect()
-        report.server_stats = await probe.server_stats()
-        await probe.aclose()
-    except (ConnectionError, OSError, ReproError):  # pragma: no cover
-        pass
+    report.server_stats = await _server_stats(host, port)
     return report

@@ -193,7 +193,3 @@ class SimulatedNullingLink:
         """Noise-free h1 + p*h2 per subcarrier (for tests)."""
         precoder = np.asarray(precoder, dtype=complex)
         return self._response1 + precoder * self._response2
-
-    @property
-    def subcarrier_count(self) -> int:
-        return self.modem.config.num_used

@@ -9,7 +9,7 @@ the CI chaos-soak job enforces against a real subprocess server.
 import asyncio
 
 from repro.chaos import ChaosScheduleConfig
-from repro.serve import SensingServer, ServeConfig, run_chaos_load
+from repro.serve import SensingServer, ServeConfig, run_load
 
 FAST = {"window_size": 64, "hop": 16, "subarray_size": 24}
 
@@ -19,7 +19,7 @@ def _soak(chaos_seed=7, rate_scale=1.5):
         server = SensingServer(ServeConfig(idle_timeout_s=5.0))
         port = await server.start()
         try:
-            report = await run_chaos_load(
+            report = await run_load(
                 "127.0.0.1",
                 port,
                 sessions=3,

@@ -29,7 +29,6 @@ def test_registry_contains_the_expected_backends():
     names = backend_names()
     assert names[0] == DEFAULT_BACKEND  # ordinal 0 = the default
     assert "numpy-float32" in names
-    assert "numba" in names  # registered even when unavailable
 
 
 def test_default_backend_is_active_without_configuration(monkeypatch):
@@ -54,17 +53,6 @@ def test_unknown_backend_raises_typed_error():
         set_active_backend("bogus")
 
 
-def test_unavailable_backend_raises_with_diagnosis():
-    infos = {info.name: info for info in backend_infos()}
-    numba_info = infos["numba"]
-    if numba_info.available:
-        pytest.skip("numba importable here; unavailability path untestable")
-    assert "numba" in numba_info.reason
-    with pytest.raises(DspBackendError, match="unavailable"):
-        get_backend("numba")
-    assert quick_conformance("numba") == "unavailable"
-
-
 def test_use_backend_scopes_and_restores():
     set_active_backend(DEFAULT_BACKEND)
     with use_backend("numpy-float32") as backend:
@@ -86,10 +74,10 @@ def test_get_backend_returns_singletons():
 def test_backend_infos_flags():
     infos = {info.name: info for info in backend_infos()}
     default = infos[DEFAULT_BACKEND]
-    assert default.available and default.default and default.bit_exact
+    assert default.default and default.bit_exact
     assert default.dtype == "complex128"
     f32 = infos["numpy-float32"]
-    assert f32.available and not f32.default and not f32.bit_exact
+    assert not f32.default and not f32.bit_exact
     assert f32.dtype == "complex64"
 
 

@@ -14,11 +14,12 @@ from contextlib import asynccontextmanager
 import numpy as np
 import pytest
 
+from repro.chaos import ChaosScheduleConfig
 from repro.core.tracking import compute_spectrogram
 from repro.errors import ProtocolError, SessionLimitError
-from repro.fleet import FleetConfig, FleetServer, HashRing, run_fleet_load
+from repro.fleet import FleetConfig, FleetServer, HashRing
 from repro.fleet.frontend import _aggregate, merge_snapshots
-from repro.serve import AsyncServeClient, SensingServer, ServeConfig
+from repro.serve import AsyncServeClient, SensingServer, ServeConfig, run_load
 from repro.serve import protocol
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -164,9 +165,10 @@ class TestRouting:
     def test_fleet_load_zero_divergence(self):
         async def run():
             async with running_fleet(workers=2) as fleet:
-                return await run_fleet_load(
+                return await run_load(
                     "127.0.0.1",
                     fleet.port,
+                    resilient=True,
                     sessions=6,
                     pushes=6,
                     block_size=200,
@@ -183,6 +185,65 @@ class TestRouting:
         ]
         assert sum(served_per_shard) == report.columns
 
+    @pytest.mark.parametrize("chaos_seed", [7, 11])
+    def test_fleet_chaos_load_zero_divergence(self, chaos_seed):
+        """Transport chaos through the routing frontend: still bit-exact."""
+
+        async def run():
+            async with running_fleet(workers=2) as fleet:
+                return await run_load(
+                    "127.0.0.1",
+                    fleet.port,
+                    sessions=8,
+                    pushes=6,
+                    block_size=200,
+                    chaos_seed=chaos_seed,
+                    chaos_config=ChaosScheduleConfig(rate_scale=1.5),
+                    config=FAST,
+                )
+
+        report = asyncio.run(run())
+        assert report.diverged_columns == 0
+        assert [o.outcome for o in report.outcomes] == ["complete"] * 8
+        for outcome in report.outcomes:
+            assert outcome.columns == outcome.expected_columns == 72
+        assert report.total_chaos_events > 0
+        assert report.passed
+
+
+class TestShutdown:
+    def test_shutdown_ends_a_supervisor_that_swallowed_its_cancel(self):
+        """On Python 3.11 ``asyncio.wait_for`` swallows a cancellation
+        that lands as its probe completes; shutdown must still finish."""
+
+        async def run():
+            async with running_fleet(workers=1) as fleet:
+                probing = asyncio.Event()
+                swallowed = []
+
+                async def refresh(state):
+                    if swallowed:
+                        return
+                    probing.set()
+                    try:
+                        await asyncio.Event().wait()
+                    except asyncio.CancelledError:
+                        swallowed.append(True)  # and return normally
+
+                fleet._refresh_shard = refresh
+                await probing.wait()
+                # asyncio.wait, not wait_for: a timeout must not cancel
+                # (and so unblock) the shutdown under test.
+                closing = asyncio.create_task(fleet.shutdown())
+                done, _ = await asyncio.wait({closing}, timeout=5.0)
+                if not done:  # release the teardown so workers are reaped
+                    fleet._supervisor.cancel()
+                    await closing
+                assert swallowed
+                assert done, "shutdown still waiting on the supervisor"
+
+        asyncio.run(run())
+
 
 class TestTelemetryMerge:
     def test_fleet_snapshot_equals_fold_of_shard_parts(self, tmp_path):
@@ -192,9 +253,10 @@ class TestTelemetryMerge:
             async with running_fleet(
                 workers=2, telemetry_dir=str(tmp_path)
             ) as fleet:
-                await run_fleet_load(
+                await run_load(
                     "127.0.0.1",
                     fleet.port,
+                    resilient=True,
                     sessions=4,
                     pushes=4,
                     block_size=200,

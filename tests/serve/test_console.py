@@ -14,7 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve import ServeClient
+from repro.cli import main
+from repro.serve import ResilientServeClient, ServeClient
 
 PORT_LINE = re.compile(r"^serve: listening on (\S+) port (\d+)$")
 
@@ -74,7 +75,8 @@ class TestConsoleScripts:
             timeout=60,
         )
         assert result.returncode == 0, result.stdout + result.stderr
-        assert "zero protocol errors" in result.stdout
+        assert "zero divergence" in result.stdout
+        assert "diverged_columns: 0" in result.stdout
 
     def test_serve_pins_every_blas_pool_to_one_thread(self, serve_process):
         port, pid = serve_process
@@ -92,3 +94,42 @@ class TestConsoleScripts:
             reported = client.server_stats()["scheduler"]["blas_threads"]
         assert set(reported) == pools
         assert set(reported.values()) == {1}
+
+
+class TestLoadGate:
+    """``repro load`` exits nonzero unless every session is complete."""
+
+    def test_chaos_load_fails_on_a_short_column_stream(
+        self, serve_process, monkeypatch, capsys
+    ):
+        port, _ = serve_process
+        served = ResilientServeClient.served_columns
+        # Drop all but three columns client-side: nothing diverges, but
+        # each session ends error:IncompleteStream.
+        monkeypatch.setattr(
+            ResilientServeClient,
+            "served_columns",
+            lambda self: served(self)[:3],
+        )
+        code = main(
+            ["load", "--port", str(port), "--chaos", "--sessions", "2",
+             "--pushes", "4", "--block-size", "200"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1, captured.out
+        assert "diverged_columns: 0" in captured.out
+        assert "error:IncompleteStream" in captured.err
+
+    def test_resilient_chaos_load_applies_chaos(self, serve_process, capsys):
+        port, _ = serve_process
+        code = main(
+            ["load", "--port", str(port), "--resilient", "--chaos",
+             "--chaos-seed", "7", "--sessions", "4", "--pushes", "8",
+             "--block-size", "200"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0, captured.out + captured.err
+        events = re.search(r"^  chaos_events_applied: (\d+)$", captured.out, re.M)
+        assert events is not None, captured.out
+        assert int(events.group(1)) > 0
+        assert "diverged_columns: 0" in captured.out
